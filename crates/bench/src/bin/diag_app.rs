@@ -10,6 +10,7 @@
 //! Combine with the engine's cycle tracer (`MMT_TRACE=start..end`) and
 //! merge-hardware summary (`MMT_DEBUG_MERGE=1`) for deeper digging.
 
+use mmt_bench::cli::scale_arg;
 use mmt_bench::{arg_value, run_app, FULL_SCALE};
 use mmt_sim::MmtLevel;
 use mmt_workloads::app_by_name;
@@ -20,9 +21,7 @@ fn main() {
     let threads: usize = arg_value(&args, "--threads")
         .map(|v| v.parse().unwrap())
         .unwrap_or(2);
-    let scale: u64 = arg_value(&args, "--scale")
-        .map(|v| v.parse().unwrap())
-        .unwrap_or(FULL_SCALE);
+    let scale = scale_arg(&args, false, FULL_SCALE);
     let mut app = app_by_name(&name).expect("known app");
     if arg_value(&args, "--no-div").is_some() {
         app.spec.divergence_inv = 0;

@@ -27,6 +27,19 @@ pub fn format_json_arg(args: &[String]) -> Result<bool, String> {
     }
 }
 
+/// Parse `--scale N`, the workload size divisor (`default` when
+/// absent). A value that is not a positive integer is a usage error:
+/// scale 0 would divide by zero when the app is instantiated.
+pub fn scale_arg(args: &[String], json: bool, default: u64) -> u64 {
+    let Some(v) = crate::arg_value(args, "--scale") else {
+        return default;
+    };
+    match v.parse() {
+        Ok(n) if n > 0 => n,
+        _ => fail_usage(json, format!("--scale takes a positive integer, got '{v}'")),
+    }
+}
+
 /// Report a usage error and exit 2.
 pub fn fail_usage(json: bool, message: impl AsRef<str>) -> ! {
     fail(EXIT_USAGE, json, message.as_ref())

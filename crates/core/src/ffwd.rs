@@ -6,10 +6,11 @@
 //! the program into straight-line runs ("basic blocks" ending at the
 //! next control-flow instruction or `halt`) and dispatches a whole run
 //! per thread turn, touching nothing but the architectural state in an
-//! [`ArchState`]. No ROB, no rename, no issue queue, no cache timing —
-//! just the ISA semantics of [`mmt_isa::interp::Machine::step`],
-//! replicated exactly so the two modes produce bit-identical
-//! architectural results.
+//! [`ArchState`]. No ROB, no rename, no issue queue, no cache timing:
+//! each instruction of a block is one [`Machine::step`] on the state's
+//! own machines and memories, so the ISA semantics have exactly one
+//! definition and the two modes produce bit-identical architectural
+//! results by construction.
 //!
 //! Scheduling is round-robin, one block per live thread per turn. For
 //! the race-free SPMD workloads this repo admits (the `mmtmem`/`mmtlint`
@@ -23,8 +24,8 @@
 //! terminator — after which dispatch never re-classifies instructions.
 
 use crate::snapshot::ArchState;
-use mmt_isa::interp::ExecError;
-use mmt_isa::{Inst, MemSharing, Program, Reg};
+use mmt_isa::interp::{ExecError, Machine, Memory};
+use mmt_isa::{Inst, MemSharing, Program};
 use mmt_mem::MemoryHierarchy;
 
 /// A predecoded program ready for block-at-a-time dispatch.
@@ -85,8 +86,6 @@ impl Ffwd {
     /// architectural point: a PC outside the program text or an
     /// out-of-limit memory access. `state` is left at the fault
     /// boundary (every instruction before the faulting one retired).
-    ///
-    /// [`Machine::step`]: mmt_isa::interp::Machine::step
     pub fn advance(
         &self,
         prog: &Program,
@@ -242,26 +241,22 @@ impl Ffwd {
         Ok(executed)
     }
 
-    /// Execute one basic block on one thread: the straight-line body in
-    /// a tight loop, then the terminator. Replicates `Machine::step`
-    /// semantics instruction-for-instruction (r0 hardwired to zero,
-    /// wrapping address arithmetic, `halt` freezes the PC, every
-    /// executed instruction — including `halt` — counts as retired).
+    /// Execute one basic block on one thread, one [`Machine::step`] per
+    /// instruction, warming the instruction lines the block covers and
+    /// every data address it touches when `warm` is given.
     fn run_block(
         &self,
         prog: &Program,
-        t: &mut crate::snapshot::ThreadArch,
-        mem: &mut crate::snapshot::MemArch,
+        m: &mut Machine,
+        mem: &mut Memory,
         data_space: usize,
         mut warm: Option<&mut MemoryHierarchy>,
     ) -> Result<u64, ExecError> {
-        let insts = prog.as_slice();
-        let start = t.pc;
-        if start as usize >= insts.len() {
-            return Err(ExecError::PcOutOfBounds { pc: start });
-        }
-        let len = self.run_len[start as usize] as u64;
-        let body_end = start + len - 1; // terminator (or last straight-line inst)
+        let start = m.pc;
+        let len = *self
+            .run_len
+            .get(start as usize)
+            .ok_or(ExecError::PcOutOfBounds { pc: start })? as u64;
 
         if let Some(h) = warm.as_deref_mut() {
             // Warm each instruction line the block covers: instructions
@@ -269,146 +264,27 @@ impl Ffwd {
             // starts every `line_bytes / 8` PCs.
             let stride = (h.config().l1i.line_bytes / 8).max(1);
             let mut pc = start;
-            while pc <= body_end {
+            while pc < start + len {
                 h.warm_inst(0, pc);
                 pc = (pc / stride + 1) * stride;
             }
         }
 
-        // Straight-line body: no control flow, no halt, PC advances by 1.
-        let mut pc = start;
-        while pc < body_end {
-            self.exec_straight(
-                insts[pc as usize],
-                pc,
-                t,
-                mem,
-                data_space,
-                warm.as_deref_mut(),
-            )?;
-            pc += 1;
-        }
-
-        // Terminator — or a straight-line instruction at the end of the
-        // program text, after which the next dispatch faults.
-        let inst = insts[pc as usize];
-        match inst {
-            Inst::Br {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                t.pc = if cond.eval(rd(t, rs1), rd(t, rs2)) {
-                    target
-                } else {
-                    pc + 1
-                };
-            }
-            Inst::Jmp { target } => t.pc = target,
-            Inst::Jal { rd: link, target } => {
-                wr(t, link, pc + 1);
-                t.pc = target;
-            }
-            Inst::Jr { rs } => t.pc = rd(t, rs),
-            Inst::Halt => {
-                t.halted = true;
-                t.pc = pc; // frozen
-            }
-            other => {
-                self.exec_straight(other, pc, t, mem, data_space, warm)?;
-                t.pc = pc + 1;
+        for _ in 0..len {
+            let info = m.step(prog, mem)?;
+            if let (Some(h), Some(addr)) = (warm.as_deref_mut(), info.mem_addr) {
+                h.warm_data(data_space, addr);
             }
         }
-        t.retired += len;
         Ok(len)
-    }
-
-    /// One non-control, non-halt instruction at `pc`. The caller
-    /// advances the PC and the retired count.
-    #[inline]
-    fn exec_straight(
-        &self,
-        inst: Inst,
-        pc: u64,
-        t: &mut crate::snapshot::ThreadArch,
-        mem: &mut crate::snapshot::MemArch,
-        data_space: usize,
-        warm: Option<&mut MemoryHierarchy>,
-    ) -> Result<(), ExecError> {
-        match inst {
-            Inst::Alu {
-                op,
-                rd: d,
-                rs1,
-                rs2,
-            } => wr(t, d, op.apply(rd(t, rs1), rd(t, rs2))),
-            Inst::AluI {
-                op,
-                rd: d,
-                rs1,
-                imm,
-            } => wr(t, d, op.apply(rd(t, rs1), imm as u64)),
-            Inst::Fpu {
-                op,
-                rd: d,
-                rs1,
-                rs2,
-            } => wr(t, d, op.apply(rd(t, rs1), rd(t, rs2))),
-            Inst::Ld { rd: d, base, off } => {
-                let addr = rd(t, base).wrapping_add_signed(off);
-                let v = mem
-                    .load(addr)
-                    .ok_or(ExecError::MemOutOfBounds { addr, pc })?;
-                if let Some(h) = warm {
-                    h.warm_data(data_space, addr);
-                }
-                wr(t, d, v);
-            }
-            Inst::St { src, base, off } => {
-                let addr = rd(t, base).wrapping_add_signed(off);
-                if !mem.store(addr, rd(t, src)) {
-                    return Err(ExecError::MemOutOfBounds { addr, pc });
-                }
-                if let Some(h) = warm {
-                    h.warm_data(data_space, addr);
-                }
-            }
-            Inst::Tid { rd: d } => wr(t, d, t.tid as u64),
-            Inst::Nop => {}
-            // Control and halt are terminators; run_len guarantees they
-            // never appear in a straight-line body.
-            _ => unreachable!("control instruction in straight-line body"),
-        }
-        Ok(())
-    }
-}
-
-/// Read a register (`r0` always reads zero).
-#[inline]
-fn rd(t: &crate::snapshot::ThreadArch, r: Reg) -> u64 {
-    if r.is_zero() {
-        0
-    } else {
-        t.regs[r.index()]
-    }
-}
-
-/// Write a register (writes to `r0` are discarded).
-#[inline]
-fn wr(t: &mut crate::snapshot::ThreadArch, r: Reg, v: u64) {
-    if !r.is_zero() {
-        t.regs[r.index()] = v;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::ThreadArch;
     use mmt_isa::asm::Builder;
-    use mmt_isa::interp::{Machine, Memory};
-    use mmt_isa::MemSharing;
+    use mmt_isa::Reg;
 
     /// Sum-loop with a call, stores, and negative offsets: exercises
     /// every terminator kind plus straight-line memory traffic.
@@ -451,8 +327,8 @@ mod tests {
             for _ in 0..n {
                 m.step(&prog, &mut mem).unwrap();
             }
-            assert_eq!(state.threads[0], ThreadArch::from_machine(&m));
-            assert_eq!(state.memories[0].to_memory(), mem);
+            assert_eq!(state.threads[0], m);
+            assert_eq!(state.memories[0], mem);
         }
         assert!(m.halted());
     }
@@ -470,8 +346,8 @@ mod tests {
         let executed = ffwd.run_to_halt(&prog, &mut state, 100).unwrap();
         assert_eq!(executed, 8);
         assert!(state.all_halted());
-        assert_eq!(state.memories[0].load(0), Some(10));
-        assert_eq!(state.memories[1].load(1), Some(11));
+        assert_eq!(state.memories[0].load(0), Ok(10));
+        assert_eq!(state.memories[1].load(1), Ok(11));
         assert_eq!(state.total_retired(), 8);
     }
 

@@ -32,7 +32,7 @@ use crate::config::{FetchPolicy, FetchStyle, SimConfig, SyncPolicy};
 use crate::itid::Itid;
 use crate::lvip::Lvip;
 use crate::rst::RegSharingTable;
-use crate::snapshot::{self, ArchState, MemArch, ThreadArch};
+use crate::snapshot::{self, ArchState};
 use crate::split::{split_instruction_at, PartList, SplitPart};
 use crate::stats::SimStats;
 use mmt_frontend::{Btb, FetchSync, Ras, SyncMode, TwoLevelPredictor};
@@ -72,10 +72,8 @@ impl RunSpec {
             cycle: 0,
             config_digest: 0,
             sharing: self.sharing,
-            threads: (0..self.threads)
-                .map(|t| ThreadArch::from_machine(&Machine::new(t)))
-                .collect(),
-            memories: self.memories.iter().map(MemArch::from_memory).collect(),
+            threads: (0..self.threads).map(Machine::new).collect(),
+            memories: self.memories.clone(),
             rst: None,
             lvip: None,
         }
@@ -1068,12 +1066,8 @@ impl Simulator {
             cycle: self.now,
             config_digest: snapshot::config_digest(&self.cfg),
             sharing: self.sharing,
-            threads: self
-                .threads
-                .iter()
-                .map(|t| ThreadArch::from_machine(&t.machine))
-                .collect(),
-            memories: self.memories.iter().map(MemArch::from_memory).collect(),
+            threads: self.threads.iter().map(|t| t.machine.clone()).collect(),
+            memories: self.memories.clone(),
             rst: Some(self.rst.entries_raw()),
             lvip: Some(self.lvip.entries().to_vec()),
         }
@@ -1115,14 +1109,14 @@ impl Simulator {
         let spec = RunSpec {
             program,
             sharing: state.sharing,
-            memories: state.memories.iter().map(MemArch::to_memory).collect(),
+            memories: state.memories.clone(),
             threads: state.threads.len(),
         };
         let mut sim = Simulator::new(cfg, spec)?;
         let n = sim.threads.len();
 
         for (ts, ta) in sim.threads.iter_mut().zip(&state.threads) {
-            ts.machine = ta.to_machine();
+            ts.machine = ta.clone();
             ts.halted_fetch = ta.halted;
             // With an empty pipeline the committed state *is* the
             // architected state.

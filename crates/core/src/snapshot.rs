@@ -11,6 +11,11 @@
 //! fetch-boundary architectural state, and a snapshot taken from the
 //! detailed model can seed the fast-forward executor and vice versa.
 //!
+//! The state is held in the interpreter's own types: `threads` are
+//! [`Machine`]s and `memories` are [`Memory`]s, so taking or restoring a
+//! snapshot is a clone and both modes advance the very same values with
+//! [`Machine::step`].
+//!
 //! Serialization is a self-describing JSON document (format tag
 //! `mmt-archstate-v1`). All `u64` payloads are encoded as decimal
 //! *strings*: the workspace's vendored JSON reader keeps numbers as `f64`,
@@ -59,91 +64,6 @@ impl Default for Fnv {
     }
 }
 
-/// One thread context's architectural state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ThreadArch {
-    /// Hardware thread id.
-    pub tid: usize,
-    /// Architected register file (`regs[0]` is always 0).
-    pub regs: [u64; NUM_REGS],
-    /// Program counter (frozen at the `halt` PC once halted).
-    pub pc: u64,
-    /// Whether the thread has executed `halt`.
-    pub halted: bool,
-    /// Dynamic instructions executed so far.
-    pub retired: u64,
-}
-
-impl ThreadArch {
-    /// Capture a functional machine.
-    pub fn from_machine(m: &Machine) -> ThreadArch {
-        ThreadArch {
-            tid: m.tid(),
-            regs: *m.regs(),
-            pc: m.pc(),
-            halted: m.halted(),
-            retired: m.retired(),
-        }
-    }
-
-    /// Rebuild the equivalent functional machine.
-    pub fn to_machine(&self) -> Machine {
-        Machine::from_parts(self.tid, self.regs, self.pc, self.halted, self.retired)
-    }
-}
-
-/// One data memory's architectural state: a dense image from address 0.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemArch {
-    /// Memory identity (process id for multi-execution workloads).
-    pub id: usize,
-    /// Configured word limit.
-    pub limit: u64,
-    /// Dense image; addresses past the end read as zero.
-    pub words: Vec<u64>,
-}
-
-impl MemArch {
-    /// Capture a functional memory.
-    pub fn from_memory(m: &Memory) -> MemArch {
-        MemArch {
-            id: m.id(),
-            limit: m.limit(),
-            words: m.words().to_vec(),
-        }
-    }
-
-    /// Rebuild the equivalent functional memory.
-    pub fn to_memory(&self) -> Memory {
-        Memory::from_words(self.id, self.limit, self.words.clone())
-    }
-
-    /// Read the word at `addr` (past-the-end reads as zero); `None` when
-    /// `addr` exceeds the configured limit. Mirrors [`Memory::load`].
-    #[inline]
-    pub fn load(&self, addr: u64) -> Option<u64> {
-        if addr >= self.limit {
-            return None;
-        }
-        Some(self.words.get(addr as usize).copied().unwrap_or(0))
-    }
-
-    /// Write the word at `addr`, growing the image as needed; `false`
-    /// when `addr` exceeds the configured limit. Mirrors [`Memory::store`].
-    #[inline]
-    pub fn store(&mut self, addr: u64, value: u64) -> bool {
-        if addr >= self.limit {
-            return false;
-        }
-        let i = addr as usize;
-        if i >= self.words.len() {
-            self.words.resize(i + 1, 0);
-        }
-        self.words[i] = value;
-        true
-    }
-}
-
 /// A complete architectural checkpoint, plus optional warm predictor
 /// state, handed between the detailed and fast-forward execution modes.
 ///
@@ -162,9 +82,9 @@ pub struct ArchState {
     /// Thread-to-memory relationship of the workload.
     pub sharing: MemSharing,
     /// Per-thread contexts, indexed by tid.
-    pub threads: Vec<ThreadArch>,
+    pub threads: Vec<Machine>,
     /// Data memories (one shared, or one per thread).
-    pub memories: Vec<MemArch>,
+    pub memories: Vec<Memory>,
     /// Warm RST sharing vectors `(shared_mask, by_merge_mask)` per
     /// architected register, when captured from a detailed run.
     pub rst: Option<[(u8, u8); NUM_REGS]>,
@@ -194,16 +114,10 @@ impl ArchState {
             cycle: 0,
             config_digest: 0,
             sharing,
-            threads: (0..threads)
-                .map(|t| ThreadArch::from_machine(&Machine::new(t)))
-                .collect(),
+            threads: (0..threads).map(Machine::new).collect(),
             memories: memory_ids
                 .iter()
-                .map(|&id| MemArch {
-                    id,
-                    limit: mem_limit,
-                    words: Vec::new(),
-                })
+                .map(|&id| Memory::with_limit(id, mem_limit))
                 .collect(),
             rst: None,
             lvip: None,
@@ -236,30 +150,11 @@ impl ArchState {
     /// architecturally iff their digests match.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
-        h.put_u64(self.threads.len() as u64);
-        for t in &self.threads {
-            h.put_u64(t.tid as u64);
-            for &r in &t.regs {
-                h.put_u64(r);
-            }
-            h.put_u64(t.pc);
-            h.put_u64(t.halted as u64);
-            h.put_u64(t.retired);
-        }
+        hash_threads(&mut h, &self.threads);
         h.put_u64(self.memories.len() as u64);
         for m in &self.memories {
-            h.put_u64(m.id as u64);
-            let trimmed = {
-                let mut n = m.words.len();
-                while n > 0 && m.words[n - 1] == 0 {
-                    n -= 1;
-                }
-                &m.words[..n]
-            };
-            h.put_u64(trimmed.len() as u64);
-            for &w in trimmed {
-                h.put_u64(w);
-            }
+            h.put_u64(m.id() as u64);
+            hash_trimmed_words(&mut h, m);
         }
         h.finish()
     }
@@ -280,34 +175,15 @@ impl ArchState {
             MemSharing::Shared => 0,
             MemSharing::PerThread => 1,
         });
-        h.put_u64(self.threads.len() as u64);
-        for t in &self.threads {
-            h.put_u64(t.tid as u64);
-            for &r in &t.regs {
-                h.put_u64(r);
-            }
-            h.put_u64(t.pc);
-            h.put_u64(t.halted as u64);
-            h.put_u64(t.retired);
-        }
+        hash_threads(&mut h, &self.threads);
         h.put_u64(self.memories.len() as u64);
         for m in &self.memories {
-            h.put_u64(m.id as u64);
-            h.put_u64(m.limit);
+            h.put_u64(m.id() as u64);
+            h.put_u64(m.limit());
             // Trailing zeros trimmed, as in `digest`: the sparse JSON
             // encoding cannot represent them, so a padded image and its
             // round-tripped twin must hash identically.
-            let trimmed = {
-                let mut n = m.words.len();
-                while n > 0 && m.words[n - 1] == 0 {
-                    n -= 1;
-                }
-                &m.words[..n]
-            };
-            h.put_u64(trimmed.len() as u64);
-            for &w in trimmed {
-                h.put_u64(w);
-            }
+            hash_trimmed_words(&mut h, m);
         }
         match &self.rst {
             None => h.put_u64(0),
@@ -373,10 +249,11 @@ impl ArchState {
         for (i, m) in self.memories.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"id\": {}, \"limit\": \"{}\", \"words\": [",
-                m.id, m.limit
+                m.id(),
+                m.limit()
             ));
             let mut first = true;
-            for (addr, &w) in m.words.iter().enumerate() {
+            for (addr, &w) in m.words().iter().enumerate() {
                 if w == 0 {
                     continue;
                 }
@@ -472,13 +349,9 @@ impl ArchState {
             for (r, v) in regs.iter_mut().zip(regs_json) {
                 *r = val_u64(v).ok_or_else(|| format!("thread {i}: bad register value"))?;
             }
-            threads.push(ThreadArch {
-                tid,
-                regs,
-                pc,
-                halted,
-                retired,
-            });
+            // `from_parts` re-zeroes r0, so a document claiming r0 != 0
+            // hashes differently from what it loads and is refused below.
+            threads.push(Machine::from_parts(tid, regs, pc, halted, retired));
         }
 
         let mut memories = Vec::new();
@@ -508,7 +381,7 @@ impl ArchState {
                 }
                 words[a] = value;
             }
-            memories.push(MemArch { id, limit, words });
+            memories.push(Memory::from_words(id, limit, words));
         }
 
         let rst = match root.get("rst") {
@@ -605,6 +478,31 @@ fn arr<'a>(obj: &'a Value, key: &str) -> Result<&'a [Value], String> {
         .ok_or_else(|| format!("missing \"{key}\" array"))
 }
 
+/// The per-thread part of both digests: the thread count, then each
+/// thread's tid, registers, PC, halt flag and retired count.
+fn hash_threads(h: &mut Fnv, threads: &[Machine]) {
+    h.put_u64(threads.len() as u64);
+    for t in threads {
+        h.put_u64(t.tid as u64);
+        for &r in &t.regs {
+            h.put_u64(r);
+        }
+        h.put_u64(t.pc);
+        h.put_u64(t.halted as u64);
+        h.put_u64(t.retired);
+    }
+}
+
+/// A memory image's length and words with trailing zeros trimmed.
+fn hash_trimmed_words(h: &mut Fnv, m: &Memory) {
+    let words = m.words();
+    let n = words.len() - words.iter().rev().take_while(|&&w| w == 0).count();
+    h.put_u64(n as u64);
+    for &w in &words[..n] {
+        h.put_u64(w);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,8 +516,8 @@ mod tests {
         s.threads[0].pc = 42;
         s.threads[0].retired = 99;
         s.threads[1].halted = true;
-        s.memories[0].store(7, u64::MAX - 1);
-        s.memories[1].store(0, 5);
+        s.memories[0].store(7, u64::MAX - 1).unwrap();
+        s.memories[1].store(0, 5).unwrap();
         s.rst = Some({
             let mut r = [(0u8, 0u8); NUM_REGS];
             r[3] = (0b0011, 0b0010);
@@ -645,9 +543,9 @@ mod tests {
     fn digest_ignores_trailing_zero_words() {
         let mut a = sample_state();
         let b = a.clone();
-        a.memories[0].words.resize(500, 0); // same memory, padded image
+        a.memories[0].store(499, 0).unwrap(); // same memory, padded image
         assert_eq!(a.digest(), b.digest());
-        a.memories[0].words[400] = 1;
+        a.memories[0].store(400, 1).unwrap();
         assert_ne!(a.digest(), b.digest());
     }
 
@@ -665,36 +563,14 @@ mod tests {
     }
 
     #[test]
-    fn machine_round_trip() {
-        let t = ThreadArch {
-            tid: 3,
-            regs: {
-                let mut r = [0u64; NUM_REGS];
-                r[7] = 0xabcd;
-                r
-            },
-            pc: 17,
-            halted: false,
-            retired: 21,
-        };
-        assert_eq!(ThreadArch::from_machine(&t.to_machine()), t);
-    }
-
-    #[test]
-    fn mem_arch_mirrors_memory_semantics() {
-        let mut m = MemArch {
-            id: 0,
-            limit: 10,
-            words: Vec::new(),
-        };
-        assert!(m.store(9, 42));
-        assert!(!m.store(10, 1)); // limit enforced
-        assert_eq!(m.load(9), Some(42));
-        assert_eq!(m.load(3), Some(0)); // untouched reads zero
-        assert_eq!(m.load(10), None);
-        let mem = m.to_memory();
-        assert_eq!(mem.load(9).unwrap(), 42);
-        assert_eq!(MemArch::from_memory(&mem), m);
+    fn nonzero_r0_checkpoint_is_rejected() {
+        // Loading rebuilds each thread through `Machine::from_parts`,
+        // which re-zeroes r0; the loaded state then no longer hashes to
+        // the digest the document was sealed with.
+        let mut s = sample_state();
+        s.threads[0].regs[0] = 5;
+        let err = ArchState::from_json(&s.to_json()).unwrap_err();
+        assert!(err.contains("integrity digest mismatch"), "{err}");
     }
 
     #[test]
@@ -734,7 +610,7 @@ mod tests {
             },
             {
                 let mut a = s.clone();
-                a.memories[0].store(3, 7);
+                a.memories[0].store(3, 7).unwrap();
                 a
             },
             {

@@ -15,9 +15,10 @@
 //!    JSON-round-tripped mid-run `ArchState` finishes at that digest
 //!    too (the architectural outcome is mode-independent).
 
+use mmt_isa::interp::Memory;
 use mmt_isa::reg::NUM_REGS;
 use mmt_isa::MemSharing;
-use mmt_sim::snapshot::{ArchState, MemArch};
+use mmt_sim::snapshot::ArchState;
 use mmt_sim::{Ffwd, MmtLevel, RunSpec, SimConfig, SimResult, Simulator};
 use mmt_workloads::{all_apps, WorkloadInstance};
 use proptest::prelude::*;
@@ -221,13 +222,10 @@ fn arbitrary_state() -> impl Strategy<Value = ArchState> {
             }
             s.memories = (0..nthreads)
                 .map(|id| {
-                    let mut m = MemArch {
-                        id,
-                        limit: 1 << 20,
-                        words: Vec::new(),
-                    };
+                    let mut m = Memory::with_limit(id, 1 << 20);
                     for (a, &w) in words.iter().enumerate() {
-                        m.store((a as u64 * 37 + id as u64) % (1 << 20), w);
+                        m.store((a as u64 * 37 + id as u64) % (1 << 20), w)
+                            .expect("address within the limit");
                     }
                     m
                 })
