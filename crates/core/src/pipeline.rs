@@ -490,6 +490,16 @@ impl Simulator {
     /// [`SimError::BadConfig`] / [`SimError::BadSpec`] when the
     /// configuration or spec is inconsistent.
     pub fn new(cfg: SimConfig, spec: RunSpec) -> Result<Simulator, SimError> {
+        Simulator::with_hierarchy(cfg, spec, None)
+    }
+
+    /// [`Simulator::new`] around `hierarchy` when given (already checked
+    /// against `cfg.hierarchy`), else around a cold one.
+    fn with_hierarchy(
+        cfg: SimConfig,
+        spec: RunSpec,
+        hierarchy: Option<mmt_mem::MemoryHierarchy>,
+    ) -> Result<Simulator, SimError> {
         cfg.validate().map_err(SimError::BadConfig)?;
         let expected_mems = match spec.sharing {
             MemSharing::Shared => 1,
@@ -551,7 +561,7 @@ impl Simulator {
             bpred: TwoLevelPredictor::new(cfg.predictor, n),
             btb: Btb::new(cfg.btb_entries),
             rases: (0..n).map(|_| Ras::new(cfg.ras_depth)).collect(),
-            hierarchy: mmt_mem::MemoryHierarchy::new(cfg.hierarchy),
+            hierarchy: hierarchy.unwrap_or_else(|| mmt_mem::MemoryHierarchy::new(cfg.hierarchy)),
             decode_queue: VecDeque::with_capacity(cfg.fetch_width * 4 + 1),
             decode_capacity: cfg.fetch_width * 4,
             rst: RegSharingTable::new_all_shared(),
@@ -1098,6 +1108,17 @@ impl Simulator {
         program: Program,
         state: &ArchState,
     ) -> Result<Simulator, SimError> {
+        Simulator::from_arch_with(cfg, program, state, None)
+    }
+
+    /// [`Simulator::from_arch`] around `hierarchy` when given, as
+    /// [`Simulator::with_hierarchy`].
+    fn from_arch_with(
+        cfg: SimConfig,
+        program: Program,
+        state: &ArchState,
+        hierarchy: Option<mmt_mem::MemoryHierarchy>,
+    ) -> Result<Simulator, SimError> {
         for (i, t) in state.threads.iter().enumerate() {
             if t.tid != i {
                 return Err(SimError::BadSpec(format!(
@@ -1112,7 +1133,7 @@ impl Simulator {
             memories: state.memories.clone(),
             threads: state.threads.len(),
         };
-        let mut sim = Simulator::new(cfg, spec)?;
+        let mut sim = Simulator::with_hierarchy(cfg, spec, hierarchy)?;
         let n = sim.threads.len();
 
         for (ts, ta) in sim.threads.iter_mut().zip(&state.threads) {
@@ -1195,22 +1216,23 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// As [`Simulator::from_arch`].
+    /// As [`Simulator::from_arch`], plus [`SimError::BadConfig`] when the
+    /// warmed hierarchy's configuration differs from `cfg.hierarchy`.
     pub fn from_arch_warmed(
         cfg: SimConfig,
         program: Program,
         state: &ArchState,
         mut hierarchy: mmt_mem::MemoryHierarchy,
     ) -> Result<Simulator, SimError> {
-        let mut sim = Simulator::from_arch(cfg, program, state)?;
-        debug_assert_eq!(
-            *hierarchy.config(),
-            sim.cfg.hierarchy,
-            "warmed hierarchy must match the run's memory configuration"
-        );
+        if *hierarchy.config() != cfg.hierarchy {
+            return Err(SimError::BadConfig(format!(
+                "warmed hierarchy {:?} does not match the run's memory configuration {:?}",
+                hierarchy.config(),
+                cfg.hierarchy
+            )));
+        }
         hierarchy.quiesce();
-        sim.hierarchy = hierarchy;
-        Ok(sim)
+        Simulator::from_arch_with(cfg, program, state, Some(hierarchy))
     }
 
     /// Take the memory hierarchy out of this simulator (quiesced) for

@@ -253,7 +253,7 @@ impl ArchState {
                 m.limit()
             ));
             let mut first = true;
-            for (addr, &w) in m.words().iter().enumerate() {
+            for (addr, &w) in m.word_chunks().flatten().enumerate() {
                 if w == 0 {
                     continue;
                 }
@@ -495,10 +495,10 @@ fn hash_threads(h: &mut Fnv, threads: &[Machine]) {
 
 /// A memory image's length and words with trailing zeros trimmed.
 fn hash_trimmed_words(h: &mut Fnv, m: &Memory) {
-    let words = m.words();
-    let n = words.len() - words.iter().rev().take_while(|&&w| w == 0).count();
+    let words = || m.word_chunks().flatten();
+    let n = m.touched_len() - words().rev().take_while(|&&w| w == 0).count();
     h.put_u64(n as u64);
-    for &w in &words[..n] {
+    for &w in words().take(n) {
         h.put_u64(w);
     }
 }

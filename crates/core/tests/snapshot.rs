@@ -298,3 +298,85 @@ fn arch_state_carries_warm_predictor_state() {
         Simulator::from_arch(cfg_for(threads), spec.program, &state).expect("resume accepted");
     assert_eq!(resumed.arch_state().rst.unwrap(), rst);
 }
+
+/// A warmed hierarchy whose geometry differs from the run's memory
+/// configuration is refused, in release builds too, rather than
+/// silently simulating the window with the wrong caches.
+#[test]
+fn warmed_hierarchy_of_wrong_geometry_is_rejected() {
+    let app = mmt_workloads::app_by_name("fft").expect("known app");
+    let cfg = cfg_for(2);
+    let spec = to_spec(app.instance(2, SCALE));
+    let state = spec.initial_arch_state();
+    let mut wrong = cfg.hierarchy;
+    wrong.l2.size_bytes /= 2;
+    let err = Simulator::from_arch_warmed(
+        cfg.clone(),
+        spec.program.clone(),
+        &state,
+        mmt_sim::MemoryHierarchy::new(wrong),
+    )
+    .expect_err("a mismatched L2 must be refused");
+    assert!(matches!(err, mmt_sim::SimError::BadConfig(_)), "{err}");
+    let warmed = mmt_sim::MemoryHierarchy::new(cfg.hierarchy);
+    assert!(Simulator::from_arch_warmed(cfg, spec.program, &state, warmed).is_ok());
+}
+
+/// The checkpoint format and both digests of a state whose memories
+/// span several copy-on-write pages, with a run of stores straddling a
+/// page boundary and trailing zero words, against values recorded
+/// before memories were paged.
+#[test]
+fn multi_page_state_digests_and_json_are_golden() {
+    let mut s = ArchState::initial(2, MemSharing::PerThread, &[0, 1], 1 << 20);
+    s.cycle = 77;
+    s.config_digest = 0x1234_5678_9abc_def0;
+    s.threads[0].regs[3] = 0xdead_beef;
+    s.threads[0].pc = 12;
+    s.threads[0].retired = 1000;
+    s.threads[1].regs[31] = u64::MAX;
+    s.threads[1].halted = true;
+    s.threads[1].pc = 40;
+    s.threads[1].retired = 999;
+    s.memories[0].store_words(4093, 1000..1007).unwrap();
+    s.memories[0].store(9000, u64::MAX).unwrap();
+    s.memories[0].store(12_500, 0).unwrap();
+    s.memories[1].store_words(8191, [5, 6]).unwrap();
+    s.memories[1].store_words(8193, [0; 7]).unwrap();
+    assert_eq!(s.memories[0].touched_len(), 12_501);
+    assert_eq!(s.memories[1].touched_len(), 8200);
+
+    const GOLDEN_JSON: &str = r#"{
+  "format": "mmt-archstate-v1",
+  "cycle": "77",
+  "config_digest": "1311768467463790320",
+  "sharing": "per-thread",
+  "threads": [
+    {"tid": 0, "pc": "12", "halted": false, "retired": "1000", "regs": ["0", "0", "0", "3735928559", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"]},
+    {"tid": 1, "pc": "40", "halted": true, "retired": "999", "regs": ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "18446744073709551615"]}
+  ],
+  "memories": [
+    {"id": 0, "limit": "1048576", "words": [["4093", "1000"], ["4094", "1001"], ["4095", "1002"], ["4096", "1003"], ["4097", "1004"], ["4098", "1005"], ["4099", "1006"], ["9000", "18446744073709551615"]]},
+    {"id": 1, "limit": "1048576", "words": [["8191", "5"], ["8192", "6"]]}
+  ],
+  "integrity": "4228166390588799029"
+}
+"#;
+    assert_eq!(s.digest(), 0xc2dc_172b_a7b8_5799);
+    assert_eq!(s.integrity_digest(), 0x3aad_76ee_324a_7835);
+    assert_eq!(s.to_json(), GOLDEN_JSON);
+
+    // Loading drops the trailing zeros the sparse encoding cannot carry;
+    // the words, both digests and the document stay the same.
+    let back = ArchState::from_json(GOLDEN_JSON).expect("golden document loads");
+    assert_eq!(back.memories[0].touched_len(), 9001);
+    assert_eq!(back.memories[1].touched_len(), 8193);
+    for (m, b) in s.memories.iter().zip(&back.memories) {
+        for a in 0..13_000 {
+            assert_eq!(m.load(a), b.load(a), "word {a}");
+        }
+    }
+    assert_eq!(back.digest(), s.digest());
+    assert_eq!(back.integrity_digest(), s.integrity_digest());
+    assert_eq!(back.to_json(), GOLDEN_JSON);
+}

@@ -16,6 +16,7 @@ use crate::program::Program;
 use crate::reg::{Reg, NUM_REGS};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Default maximum memory size in 64-bit words (4 Mi words = 32 MiB).
 pub const DEFAULT_MEM_LIMIT: u64 = 1 << 22;
@@ -53,15 +54,31 @@ impl fmt::Display for ExecError {
 
 impl Error for ExecError {}
 
+/// Words per copy-on-write page (32 KiB).
+const PAGE_WORDS: usize = 4096;
+
+type Page = [u64; PAGE_WORDS];
+
 /// A word-addressed data memory.
 ///
 /// Grows on demand (zero-filled) up to a configurable word limit. Each
 /// memory carries an `id`; multi-threaded workloads share a single memory
 /// while multi-execution workloads give each process its own — the
 /// distinction at the heart of the paper's load-handling rules (Table 2).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The image is held in reference-counted pages, copied on write: a
+/// clone shares every page with its original and costs one counter bump
+/// per page, and the first store to a shared page copies that page
+/// only. The two-speed executor's handoff clones memories in and out of
+/// every detailed window, so it pays for the pages a window writes, not
+/// for the image size (DESIGN.md §14).
+#[derive(Debug, Clone)]
 pub struct Memory {
-    words: Vec<u64>,
+    /// Pages covering words `0..len`; words past `len` read as zero.
+    pages: Vec<Arc<Page>>,
+    /// One past the highest word ever stored, or the length of the
+    /// image given to [`Memory::from_words`].
+    len: usize,
     limit: u64,
     id: usize,
 }
@@ -75,7 +92,8 @@ impl Memory {
     /// Create an empty memory limited to `limit` words.
     pub fn with_limit(id: usize, limit: u64) -> Memory {
         Memory {
-            words: Vec::new(),
+            pages: Vec::new(),
+            len: 0,
             limit,
             id,
         }
@@ -91,17 +109,34 @@ impl Memory {
         self.limit
     }
 
-    /// The backed words (index = word address; everything past the end
-    /// reads as zero). The raw image behind checkpointing and state
-    /// digests.
-    pub fn words(&self) -> &[u64] {
-        &self.words
+    /// The backed image in address order, one chunk per page: the
+    /// chunks concatenate to the first [`Memory::touched_len`] words
+    /// (everything past them reads as zero). The raw image behind
+    /// checkpointing and state digests.
+    pub fn word_chunks(&self) -> impl DoubleEndedIterator<Item = &[u64]> + '_ {
+        self.pages
+            .iter()
+            .enumerate()
+            .map(|(p, page)| &page[..(self.len - p * PAGE_WORDS).min(PAGE_WORDS)])
     }
 
     /// Rebuild a memory from a checkpointed image. `words` is the dense
     /// image starting at address 0; addresses past its end read as zero.
     pub fn from_words(id: usize, limit: u64, words: Vec<u64>) -> Memory {
-        Memory { words, limit, id }
+        let pages = words
+            .chunks(PAGE_WORDS)
+            .map(|chunk| {
+                let mut page = [0; PAGE_WORDS];
+                page[..chunk.len()].copy_from_slice(chunk);
+                Arc::new(page)
+            })
+            .collect();
+        Memory {
+            pages,
+            len: words.len(),
+            limit,
+            id,
+        }
     }
 
     /// Read the word at `addr`; untouched memory reads as zero.
@@ -114,7 +149,11 @@ impl Memory {
         if addr >= self.limit {
             return Err(MemError { addr });
         }
-        Ok(self.words.get(addr as usize).copied().unwrap_or(0))
+        let a = addr as usize;
+        Ok(self
+            .pages
+            .get(a / PAGE_WORDS)
+            .map_or(0, |page| page[a % PAGE_WORDS]))
     }
 
     /// Write the word at `addr`.
@@ -127,19 +166,82 @@ impl Memory {
         if addr >= self.limit {
             return Err(MemError { addr });
         }
-        let i = addr as usize;
-        if i >= self.words.len() {
-            self.words.resize(i + 1, 0);
+        let a = addr as usize;
+        self.len = self.len.max(a + 1);
+        let (p, off) = (a / PAGE_WORDS, a % PAGE_WORDS);
+        match self.pages.get_mut(p).and_then(Arc::get_mut) {
+            Some(page) => page[off] = value,
+            None => self.page_mut(p)[off] = value,
         }
-        self.words[i] = value;
         Ok(())
+    }
+
+    /// Store `values` at consecutive word addresses from `addr`. Same
+    /// result as calling [`Memory::store`] on each in turn and stopping
+    /// at the first error, but a page's ownership is checked once per
+    /// page rather than once per word.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError`] at the first address that exceeds the configured
+    /// limit; the values before it are stored.
+    pub fn store_words(
+        &mut self,
+        addr: u64,
+        values: impl IntoIterator<Item = u64>,
+    ) -> Result<(), MemError> {
+        let mut values = values.into_iter().peekable();
+        let mut addr = addr;
+        while values.peek().is_some() {
+            if addr >= self.limit {
+                return Err(MemError { addr });
+            }
+            let a = addr as usize;
+            let off = a % PAGE_WORDS;
+            let room = ((PAGE_WORDS - off) as u64).min(self.limit - addr) as usize;
+            for (slot, v) in self.page_mut(a / PAGE_WORDS)[off..off + room]
+                .iter_mut()
+                .zip(&mut values)
+            {
+                *slot = v;
+                addr += 1;
+            }
+            self.len = self.len.max(addr as usize);
+        }
+        Ok(())
+    }
+
+    /// Page `p`, allocated and owned by this memory alone: grows the
+    /// page table with zero pages, or copies a page still shared with a
+    /// clone. Out of line so that [`Memory::store`]'s owned-page path
+    /// stays small where `Machine::step` inlines it.
+    #[cold]
+    #[inline(never)]
+    fn page_mut(&mut self, p: usize) -> &mut Page {
+        if p >= self.pages.len() {
+            self.pages.resize_with(p + 1, || Arc::new([0; PAGE_WORDS]));
+        }
+        Arc::make_mut(&mut self.pages[p])
     }
 
     /// Number of words currently backed (the high-water mark of stores).
     pub fn touched_len(&self) -> usize {
-        self.words.len()
+        self.len
     }
 }
+
+/// Same identity, limit, backed length and words: what a dense image
+/// would compare. Pages past `len` hold zeros, so whole pages compare.
+impl PartialEq for Memory {
+    fn eq(&self, other: &Memory) -> bool {
+        self.id == other.id
+            && self.limit == other.limit
+            && self.len == other.len
+            && self.pages == other.pages
+    }
+}
+
+impl Eq for Memory {}
 
 /// Out-of-bounds memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -609,6 +711,36 @@ mod tests {
         assert_eq!(mem.store(10, 1), Err(MemError { addr: 10 }));
         assert_eq!(mem.load(10), Err(MemError { addr: 10 }));
         assert_eq!(mem.touched_len(), 10);
+    }
+
+    #[test]
+    fn bulk_store_crosses_a_page_boundary() {
+        let base = PAGE_WORDS as u64 - 3;
+        let mut mem = Memory::new(0);
+        mem.store(base + 10, 99).unwrap();
+        let shared = mem.clone();
+        mem.store_words(base, 1..=6).unwrap();
+        assert_eq!(mem.touched_len(), PAGE_WORDS + 8);
+        for k in 0..6 {
+            assert_eq!(mem.load(base + k), Ok(k + 1));
+            assert_eq!(shared.load(base + k), Ok(0), "clone unaffected");
+        }
+        assert_eq!(mem.load(base + 10), Ok(99));
+        let chunks: Vec<&[u64]> = mem.word_chunks().collect();
+        assert_eq!(chunks.len(), 2);
+        assert_eq!(chunks[0][PAGE_WORDS - 3..], [1, 2, 3]);
+        assert_eq!(chunks[1], [4, 5, 6, 0, 0, 0, 0, 99]);
+
+        // Stops at the limit with the words before it stored.
+        let mut small = Memory::with_limit(1, PAGE_WORDS as u64 + 2);
+        assert_eq!(
+            small.store_words(base, 1..=6),
+            Err(MemError {
+                addr: PAGE_WORDS as u64 + 2
+            })
+        );
+        assert_eq!(small.touched_len(), PAGE_WORDS + 2);
+        assert_eq!(small.load(PAGE_WORDS as u64 + 1), Ok(5));
     }
 
     #[test]

@@ -3,10 +3,43 @@
 //! determinism the whole toolchain rests on.
 
 use mmt_isa::asm::Builder;
-use mmt_isa::interp::{Machine, Memory};
+use mmt_isa::interp::{Machine, MemError, Memory};
 use mmt_isa::{AluOp, BrCond, FpuOp, Reg};
 
 use proptest::prelude::*;
+
+/// Word limit of the memories in the dense-model test: a few pages and a
+/// ragged tail.
+const MEM_LIMIT: u64 = 3 * 4096 + 17;
+
+/// Addresses anywhere up to a little past the limit, with extra weight
+/// next to multiples of 4096 (page boundaries) and next to the limit.
+fn mem_addr() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..MEM_LIMIT + 16,
+        (1u64..4, 0u64..16).prop_map(|(p, d)| p * 4096 - 8 + d),
+        (0u64..48).prop_map(|d| MEM_LIMIT - 40 + d),
+    ]
+}
+
+/// Mostly zeros and small values, so that stores leave trailing zeros
+/// and the two memories often hold the same words.
+fn mem_value() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 1u64..3, any::<u64>()]
+}
+
+/// [`Memory::store`] on a dense model whose length is the high-water mark.
+fn model_store(model: &mut Vec<u64>, addr: u64, val: u64) -> Result<(), MemError> {
+    if addr >= MEM_LIMIT {
+        return Err(MemError { addr });
+    }
+    let a = addr as usize;
+    if a >= model.len() {
+        model.resize(a + 1, 0);
+    }
+    model[a] = val;
+    Ok(())
+}
 
 proptest! {
     #[test]
@@ -54,6 +87,67 @@ proptest! {
         }
         // Untouched addresses read zero.
         prop_assert_eq!(mem.load(4097).unwrap(), 0);
+    }
+
+    /// Two memories driven by random stores, bulk stores, clones and
+    /// loads agree with two dense models: clones are isolated in both
+    /// directions, the high-water mark and equality track the models,
+    /// and the limit rejects exactly the out-of-range addresses.
+    #[test]
+    fn memories_match_a_dense_model_across_clones(
+        ops in prop::collection::vec(
+            (0u8..4, 0usize..2, mem_addr(), mem_value(), 0u64..40),
+            1..80,
+        ),
+    ) {
+        let mut mems = [
+            Memory::with_limit(0, MEM_LIMIT),
+            Memory::with_limit(0, MEM_LIMIT),
+        ];
+        let mut models: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+        for &(kind, i, addr, val, n) in &ops {
+            match kind {
+                0 => {
+                    let r = mems[i].store(addr, val);
+                    prop_assert_eq!(r, model_store(&mut models[i], addr, val));
+                }
+                1 => {
+                    let words = (0..n).map(|k| val.wrapping_add(k));
+                    let r = mems[i].store_words(addr, words.clone());
+                    let mut want = Ok(());
+                    for (k, v) in words.enumerate() {
+                        want = model_store(&mut models[i], addr + k as u64, v);
+                        if want.is_err() {
+                            break;
+                        }
+                    }
+                    prop_assert_eq!(r, want);
+                }
+                2 => {
+                    mems[i] = mems[1 - i].clone();
+                    models[i] = models[1 - i].clone();
+                }
+                _ => {
+                    let want = if addr >= MEM_LIMIT {
+                        Err(MemError { addr })
+                    } else {
+                        Ok(models[i].get(addr as usize).copied().unwrap_or(0))
+                    };
+                    prop_assert_eq!(mems[i].load(addr), want);
+                }
+            }
+            for (m, model) in mems.iter().zip(&models) {
+                prop_assert_eq!(m.touched_len(), model.len());
+            }
+            prop_assert_eq!(mems[0] == mems[1], models[0] == models[1]);
+        }
+        for (m, model) in mems.iter().zip(&models) {
+            for a in 0..MEM_LIMIT {
+                prop_assert_eq!(m.load(a), Ok(model.get(a as usize).copied().unwrap_or(0)));
+            }
+            let image: Vec<u64> = m.word_chunks().flatten().copied().collect();
+            prop_assert_eq!(&image, model);
+        }
     }
 
     #[test]

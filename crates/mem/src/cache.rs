@@ -1,6 +1,7 @@
 //! Set-associative cache with true-LRU replacement.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Geometry and latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,7 +126,8 @@ pub enum Lookup {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every set's ways back to back (see [`Cache::ways`]).
+    lines: Vec<Line>,
     set_mask: u64,
     line_shift: u32,
     stats: CacheStats,
@@ -142,17 +144,14 @@ impl Cache {
         let num_sets = cfg.num_sets();
         Cache {
             cfg,
-            sets: vec![
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        last_used: 0,
-                        ready_at: 0,
-                    };
-                    cfg.assoc
-                ];
-                num_sets
+            lines: vec![
+                Line {
+                    tag: 0,
+                    valid: false,
+                    last_used: 0,
+                    ready_at: 0,
+                };
+                num_sets * cfg.assoc
             ],
             set_mask: num_sets as u64 - 1,
             line_shift: cfg.line_bytes.trailing_zeros(),
@@ -164,6 +163,11 @@ impl Cache {
     /// The cache's configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
+    }
+
+    /// Where set `set_idx`'s ways sit in `lines`.
+    fn ways(&self, set_idx: usize) -> Range<usize> {
+        set_idx * self.cfg.assoc..(set_idx + 1) * self.cfg.assoc
     }
 
     /// Access `addr` (byte address) at cycle `now`. Misses allocate the
@@ -179,7 +183,8 @@ impl Cache {
         self.stats.accesses += 1;
 
         let hit_latency = self.cfg.latency;
-        let set = &mut self.sets[set_idx];
+        let ways = self.ways(set_idx);
+        let set = &mut self.lines[ways];
         if let Some(way) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             way.last_used = self.tick;
             self.stats.hits += 1;
@@ -206,7 +211,8 @@ impl Cache {
         let line_addr = addr >> self.line_shift;
         let set_idx = (line_addr & self.set_mask) as usize;
         let tag = line_addr >> self.set_mask.count_ones();
-        if let Some(way) = self.sets[set_idx]
+        let ways = self.ways(set_idx);
+        if let Some(way) = self.lines[ways]
             .iter_mut()
             .find(|l| l.valid && l.tag == tag)
         {
@@ -224,7 +230,8 @@ impl Cache {
         let line_addr = addr >> self.line_shift;
         let set_idx = (line_addr & self.set_mask) as usize;
         let tag = line_addr >> self.set_mask.count_ones();
-        let set = &mut self.sets[set_idx];
+        let ways = self.ways(set_idx);
+        let set = &mut self.lines[ways];
         if let Some(way) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             way.last_used = self.tick;
             return true;
@@ -245,10 +252,8 @@ impl Cache {
     /// switch where the cycle clock restarts (absolute `ready_at` times
     /// from the old clock would read as fills far in the future).
     pub fn quiesce(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.ready_at = 0;
-            }
+        for line in &mut self.lines {
+            line.ready_at = 0;
         }
     }
 
@@ -257,7 +262,9 @@ impl Cache {
         let line_addr = addr >> self.line_shift;
         let set_idx = (line_addr & self.set_mask) as usize;
         let tag = line_addr >> self.set_mask.count_ones();
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        self.lines[self.ways(set_idx)]
+            .iter()
+            .any(|l| l.valid && l.tag == tag)
     }
 
     /// Accumulated statistics.
@@ -267,11 +274,9 @@ impl Cache {
 
     /// Invalidate everything and zero the statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.valid = false;
-                line.ready_at = 0;
-            }
+        for line in &mut self.lines {
+            line.valid = false;
+            line.ready_at = 0;
         }
         self.stats = CacheStats::default();
         self.tick = 0;

@@ -67,19 +67,15 @@ fn build_process_memory(spec: &KernelSpec, persona: usize, id: usize) -> Memory 
 
 fn fill_common(m: &mut Memory, spec: &KernelSpec) {
     let mut rng = SmallRng::seed_from_u64(spec.seed);
-    for w in 0..(layout::SHARED_SIZE + 64) as u64 {
-        let v: u32 = rng.gen();
-        m.store(layout::SHARED_BASE as u64 + w, v as u64)
-            .expect("layout fits default memory");
-    }
+    let words = (0..layout::SHARED_SIZE + 64).map(|_| rng.gen::<u32>() as u64);
+    m.store_words(layout::SHARED_BASE as u64, words)
+        .expect("layout fits default memory");
 }
 
 fn fill_private(m: &mut Memory, spec: &KernelSpec, base: u64, seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    for w in 0..(layout::PRIV_SIZE + 64) as u64 {
-        let v: u32 = rng.gen();
-        m.store(base + w, v as u64).expect("layout fits");
-    }
+    let words = (0..layout::PRIV_SIZE + 64).map(|_| rng.gen::<u32>() as u64);
+    m.store_words(base, words).expect("layout fits");
     let _ = spec;
 }
 
@@ -89,7 +85,7 @@ fn fill_private(m: &mut Memory, spec: &KernelSpec, base: u64, seed: u64) {
 fn fill_private_me(m: &mut Memory, spec: &KernelSpec, persona: usize) {
     let mut common = SmallRng::seed_from_u64(spec.seed ^ 0x5151);
     let mut own = SmallRng::seed_from_u64(spec.seed ^ (0xabcd + persona as u64 * 7919));
-    for w in 0..(layout::PRIV_SIZE + 64) as u64 {
+    let words = (0..layout::PRIV_SIZE + 64).map(|_| {
         let shared_word: u32 = common.gen();
         let own_word: u32 = own.gen();
         let ident: u8 = common.gen_range(0..100);
@@ -98,9 +94,10 @@ fn fill_private_me(m: &mut Memory, spec: &KernelSpec, persona: usize) {
         } else {
             own_word
         };
-        m.store(layout::PRIV_BASE as u64 + w, v as u64)
-            .expect("layout fits");
-    }
+        v as u64
+    });
+    m.store_words(layout::PRIV_BASE as u64, words)
+        .expect("layout fits");
 }
 
 fn fill_flags(m: &mut Memory, spec: &KernelSpec, base: u64, seed: u64) {
