@@ -14,9 +14,10 @@
 //! against that index, preferring the resynchronization that skips the
 //! fewest total instructions.
 
+use crate::trace::{is_taken, value_count, Trace, VALUE_BITS};
 use crate::RedundancyProfile;
-use mmt_isa::TraceRecord;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Histogram buckets for divergent-path length differences, in taken
 /// branches (Figure 2's x-axis: ≤16, ≤32, … plus an unbounded bucket).
@@ -32,40 +33,58 @@ pub const SEARCH_WINDOW: usize = 4096;
 
 /// Align two thread traces and classify every instruction (Figure 1) and
 /// every divergence (Figure 2).
-pub fn profile_pair(a: &[TraceRecord], b: &[TraceRecord]) -> RedundancyProfile {
+///
+/// Both traces must come from the same [`Program`](mmt_isa::Program):
+/// a [`Trace`] stores no instructions, so two records are taken to be
+/// fetch-identical exactly when their PCs are equal. Within one program a
+/// PC names one static instruction, which is the argument
+/// [`TraceRecord::fetch_identical`](mmt_isa::TraceRecord::fetch_identical)
+/// makes; traces of two different programs give a meaningless profile.
+pub fn profile_pair(a: &Trace, b: &Trace) -> RedundancyProfile {
     let mut p = RedundancyProfile {
         total: a.len() as u64,
         ..RedundancyProfile::default()
     };
+    let mut index = AnchorIndex::default();
     let (mut i, mut j) = (0usize, 0usize);
+    // Where the values of records `a[i]` and `b[j]` start in `vals`.
+    let (mut va, mut vb) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
-        if a[i].fetch_identical(&b[j]) {
-            if a[i].execute_identical(&b[j]) {
+        if a.pcs[i] == b.pcs[j] {
+            let (ma, mb) = (a.meta[i], b.meta[j]);
+            let (na, nb) = (value_count(ma), value_count(mb));
+            // Equal value bits mean equal source counts and both or
+            // neither loading, so the slices line up value for value.
+            if ma & VALUE_BITS == mb & VALUE_BITS && a.vals[va..va + na] == b.vals[vb..vb + nb] {
                 p.execute_identical += 1;
             } else {
                 p.fetch_identical += 1;
             }
             i += 1;
             j += 1;
+            va += na;
+            vb += nb;
             continue;
         }
         // Divergence: find the nearest anchor within the window.
-        match find_resync(a, i, b, j) {
+        match find_resync(&mut index, &a.pcs, i, &b.pcs, j) {
             Some((di, dj)) => {
                 p.divergences += 1;
-                let tb_a = taken_branches(&a[i..i + di]);
-                let tb_b = taken_branches(&b[j..j + dj]);
+                let (tb_a, vals_a) = skip(&a.meta[i..i + di]);
+                let (tb_b, vals_b) = skip(&b.meta[j..j + dj]);
                 record_divergence(&mut p, tb_a.abs_diff(tb_b));
                 p.not_identical += di as u64;
                 i += di;
                 j += dj;
+                va += vals_a;
+                vb += vals_b;
             }
             None => {
                 // No re-convergence in the window: classify the rest of
                 // trace `a` as not-identical and stop.
                 p.divergences += 1;
-                let tb_a = taken_branches(&a[i..]);
-                let tb_b = taken_branches(&b[j..]);
+                let (tb_a, _) = skip(&a.meta[i..]);
+                let (tb_b, _) = skip(&b.meta[j..]);
                 record_divergence(&mut p, tb_a.abs_diff(tb_b));
                 p.not_identical += (a.len() - i) as u64;
                 return p;
@@ -85,27 +104,59 @@ fn record_divergence(p: &mut RedundancyProfile, diff: u64) {
     p.divergence_diff_histogram[idx] += 1;
 }
 
-fn taken_branches(seg: &[TraceRecord]) -> u64 {
-    seg.iter().filter(|r| r.taken_target.is_some()).count() as u64
+/// The taken branches among a run of skipped records (given by their
+/// `meta` flags), and the number of value words the run owns.
+fn skip(meta: &[u8]) -> (u64, usize) {
+    meta.iter().fold((0, 0), |(taken, vals), &m| {
+        (taken + u64::from(is_taken(m)), vals + value_count(m))
+    })
 }
 
-fn anchor_hash(t: &[TraceRecord], at: usize) -> Option<u64> {
-    if at + ANCHOR_LEN > t.len() {
-        return None;
+/// Anchor hash → earliest window offset holding that anchor. The keys
+/// are already FNV hashes, so they hash to themselves. Keys that collide
+/// in the table cost time, never a wrong result: every hit is verified.
+type AnchorIndex = HashMap<u64, usize, BuildHasherDefault<PassThrough>>;
+
+/// A [`Hasher`] for `u64` keys that are already well mixed.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
     }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("anchor keys are hashed with write_u64");
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
+fn anchor_hash(pcs: &[u64], at: usize) -> Option<u64> {
+    let anchor = pcs.get(at..at + ANCHOR_LEN)?;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for r in &t[at..at + ANCHOR_LEN] {
-        h ^= r.pc.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    for &pc in anchor {
+        h ^= pc.wrapping_add(0x9e37_79b9_7f4a_7c15);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     Some(h)
 }
 
 /// Find `(di, dj)` — the smallest-total skip from `(i, j)` such that
-/// `a[i+di..]` and `b[j+dj..]` start with a matching anchor.
-fn find_resync(a: &[TraceRecord], i: usize, b: &[TraceRecord], j: usize) -> Option<(usize, usize)> {
+/// `a[i+di..]` and `b[j+dj..]` start with a matching anchor. `index` is
+/// scratch space, reused across the divergences of one pair.
+fn find_resync(
+    index: &mut AnchorIndex,
+    a: &[u64],
+    i: usize,
+    b: &[u64],
+    j: usize,
+) -> Option<(usize, usize)> {
     // Index trace b's window by anchor hash (earliest offset wins).
-    let mut index: HashMap<u64, usize> = HashMap::new();
+    index.clear();
     let b_window = SEARCH_WINDOW.min(b.len() - j);
     for dj in (0..b_window).rev() {
         if let Some(h) = anchor_hash(b, j + dj) {
@@ -126,7 +177,8 @@ fn find_resync(a: &[TraceRecord], i: usize, b: &[TraceRecord], j: usize) -> Opti
         };
         if let Some(&dj) = index.get(&h) {
             // Verify (hash collision guard).
-            if (0..ANCHOR_LEN).all(|k| a[i + di + k].fetch_identical(&b[j + dj + k])) {
+            let (sa, sb) = (i + di, j + dj);
+            if a[sa..sa + ANCHOR_LEN] == b[sb..sb + ANCHOR_LEN] {
                 let total = di + dj;
                 if best.is_none_or(|(x, y)| total < x + y) {
                     best = Some((di, dj));
@@ -141,7 +193,7 @@ fn find_resync(a: &[TraceRecord], i: usize, b: &[TraceRecord], j: usize) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmt_isa::{AluOp, Inst, Reg};
+    use mmt_isa::{AluOp, Inst, Reg, TraceRecord};
 
     fn rec(pc: u64, srcs: &[u64]) -> TraceRecord {
         let mut sv = [0u64; 2];
@@ -170,9 +222,13 @@ mod tests {
         }
     }
 
+    fn trace(records: Vec<TraceRecord>) -> Trace {
+        records.into_iter().collect()
+    }
+
     #[test]
     fn identical_traces_are_all_execute_identical() {
-        let t: Vec<_> = (0..20).map(|pc| rec(pc, &[pc, 7])).collect();
+        let t: Trace = (0..20).map(|pc| rec(pc, &[pc, 7])).collect();
         let p = profile_pair(&t, &t);
         assert_eq!(p.execute_identical, 20);
         assert_eq!(p.fetch_identical, 0);
@@ -184,8 +240,8 @@ mod tests {
 
     #[test]
     fn same_path_different_values_is_fetch_identical() {
-        let a: Vec<_> = (0..20).map(|pc| rec(pc, &[1])).collect();
-        let b: Vec<_> = (0..20).map(|pc| rec(pc, &[2])).collect();
+        let a: Trace = (0..20).map(|pc| rec(pc, &[1])).collect();
+        let b: Trace = (0..20).map(|pc| rec(pc, &[2])).collect();
         let p = profile_pair(&a, &b);
         assert_eq!(p.fetch_identical, 20);
         assert_eq!(p.execute_identical, 0);
@@ -198,8 +254,8 @@ mod tests {
         let mut a: Vec<_> = (0..10).map(|pc| rec(pc, &[0])).collect();
         a.extend((100..105).map(|pc| rec(pc, &[0])));
         a.extend((10..30).map(|pc| rec(pc, &[0])));
-        let b: Vec<_> = (0..30).map(|pc| rec(pc, &[0])).collect();
-        let p = profile_pair(&a, &b);
+        let b: Trace = (0..30).map(|pc| rec(pc, &[0])).collect();
+        let p = profile_pair(&trace(a), &b);
         assert_eq!(p.divergences, 1);
         assert_eq!(p.not_identical, 5, "the detour");
         assert_eq!(p.execute_identical, 30, "prefix + suffix");
@@ -215,7 +271,7 @@ mod tests {
         let mut b: Vec<_> = (0..8).map(|pc| rec(pc, &[0])).collect();
         b.extend([branch(200, 201)]);
         b.extend((8..20).map(|pc| rec(pc, &[0])));
-        let p = profile_pair(&a, &b);
+        let p = profile_pair(&trace(a), &trace(b));
         assert_eq!(p.divergences, 1);
         assert_eq!(p.divergence_diff_histogram[0], 1);
         assert!(p.divergences_within(16) >= 1.0);
@@ -223,8 +279,8 @@ mod tests {
 
     #[test]
     fn non_reconverging_traces_mark_tail_not_identical() {
-        let a: Vec<_> = (0..50).map(|pc| rec(pc, &[0])).collect();
-        let b: Vec<_> = (1000..1050).map(|pc| rec(pc, &[0])).collect();
+        let a: Trace = (0..50).map(|pc| rec(pc, &[0])).collect();
+        let b: Trace = (1000..1050).map(|pc| rec(pc, &[0])).collect();
         let p = profile_pair(&a, &b);
         assert_eq!(p.not_identical, 50);
         assert_eq!(p.execute_identical + p.fetch_identical, 0);
@@ -239,7 +295,7 @@ mod tests {
         let mut b: Vec<_> = (0..6).map(|pc| rec(pc, &[0])).collect();
         b.extend((200..203).map(|pc| rec(pc, &[0])));
         b.extend((50..60).map(|pc| rec(pc, &[0])));
-        let p = profile_pair(&a, &b);
+        let p = profile_pair(&trace(a), &trace(b));
         assert_eq!(p.divergences, 1);
         // All of a aligns except nothing — a's segments: prefix 6 + 10.
         assert_eq!(p.execute_identical, 16);
@@ -248,7 +304,7 @@ mod tests {
 
     #[test]
     fn empty_traces() {
-        let p = profile_pair(&[], &[]);
+        let p = profile_pair(&Trace::default(), &Trace::default());
         assert_eq!(p.total, 0);
         assert_eq!(p.fractions(), (0.0, 0.0, 0.0));
         assert_eq!(p.divergences_within(16), 1.0);
@@ -260,7 +316,7 @@ mod tests {
             loaded: Some(v),
             ..rec(5, &[9])
         };
-        let p = profile_pair(&[mk(1)], &[mk(2)]);
+        let p = profile_pair(&trace(vec![mk(1)]), &trace(vec![mk(2)]));
         assert_eq!(p.fetch_identical, 1);
         assert_eq!(p.execute_identical, 0);
     }

@@ -14,6 +14,14 @@
 //! bucketing each divergence by the *difference* of the two divergent
 //! path lengths measured in taken branches (Section 3.3).
 //!
+//! A [`Trace`] keeps only what alignment reads, as three parallel
+//! arrays: each record's PC, a flags byte (source count, loaded-value
+//! bit, taken bit) and its live values — about 9 bytes per record plus 8
+//! per value, against 80 for an [`mmt_isa::TraceRecord`]. It stores no
+//! instructions, so [`profile_pair`] treats equal PCs as the same static
+//! instruction: both traces of a pair must come from one `Program`, as
+//! every SPMD thread pair does.
+//!
 //! Because traces are collected sequentially (thread 0 runs to
 //! completion, then thread 1), the profiled programs must be free of
 //! cross-thread data flow through memory — true of every kernel in
@@ -25,9 +33,7 @@ pub mod align;
 pub mod trace;
 
 pub use align::{profile_pair, DIVERGENCE_BUCKETS};
-pub use trace::collect_trace;
-
-use mmt_isa::TraceRecord;
+pub use trace::{collect_trace, Trace};
 
 /// The redundancy profile of one thread pair (the paper's Figure 1 bar
 /// plus Figure 2 histogram for one application).
@@ -78,9 +84,4 @@ impl RedundancyProfile {
             .sum();
         within as f64 / total as f64
     }
-}
-
-/// Profile a ready-made pair of traces.
-pub fn profile_traces(a: &[TraceRecord], b: &[TraceRecord]) -> RedundancyProfile {
-    profile_pair(a, b)
 }
