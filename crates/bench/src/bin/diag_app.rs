@@ -10,7 +10,7 @@
 //! Combine with the engine's cycle tracer (`MMT_TRACE=start..end`) and
 //! merge-hardware summary (`MMT_DEBUG_MERGE=1`) for deeper digging.
 
-use mmt_bench::cli::scale_arg;
+use mmt_bench::cli::{scale_arg, threads_arg};
 use mmt_bench::{arg_value, run_app, FULL_SCALE};
 use mmt_sim::MmtLevel;
 use mmt_workloads::app_by_name;
@@ -18,9 +18,7 @@ use mmt_workloads::app_by_name;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let name = arg_value(&args, "--app").unwrap_or_else(|| "swaptions".into());
-    let threads: usize = arg_value(&args, "--threads")
-        .map(|v| v.parse().unwrap())
-        .unwrap_or(2);
+    let threads = threads_arg(&args, false, 2);
     let scale = scale_arg(&args, false, FULL_SCALE);
     let mut app = app_by_name(&name).expect("known app");
     if arg_value(&args, "--no-div").is_some() {

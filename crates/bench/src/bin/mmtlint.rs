@@ -27,7 +27,7 @@
 
 use mmt_analysis::{lint_program_with_sharing, Lint, Oracle};
 use mmt_bench::arg_value;
-use mmt_bench::cli::scale_arg;
+use mmt_bench::cli::{scale_arg, threads_arg};
 use mmt_isa::{MemSharing, Program};
 use mmt_workloads::{all_apps, app_by_name, App};
 
@@ -94,9 +94,7 @@ fn main() {
     }
 
     let app_name = arg_value(&args, "--app").unwrap_or_else(|| "all".into());
-    let threads: usize = arg_value(&args, "--threads")
-        .map(|v| v.parse().expect("--threads takes 1..=4"))
-        .unwrap_or(2);
+    let threads = threads_arg(&args, format == Format::Json, 2);
     let scale = scale_arg(&args, format == Format::Json, 16);
 
     let apps: Vec<App> = if app_name == "all" {

@@ -41,7 +41,7 @@
 //! | `--sample-warmup N`   | `500`  | detailed-but-unmeasured instructions per window |
 //! | `--sample-measure N`  | `1500` | measured instructions per window |
 
-use mmt_bench::cli::{fail_run, fail_usage, format_json_arg, scale_arg};
+use mmt_bench::cli::{fail_run, fail_usage, format_json_arg, scale_arg, threads_arg};
 use mmt_bench::sample::{run_sampled, run_sampled_profiled, SampleConfig};
 use mmt_bench::{arg_value, to_run_spec, FULL_SCALE};
 use mmt_energy::EnergyModel;
@@ -62,12 +62,7 @@ fn main() {
     }
     let app_name = arg_value(&args, "--app").unwrap_or_else(|| "swaptions".into());
     let level_name = arg_value(&args, "--level").unwrap_or_else(|| "fxr".into());
-    let threads: usize = arg_value(&args, "--threads")
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| fail_usage(json, "--threads takes 1..=4"))
-        })
-        .unwrap_or(2);
+    let threads = threads_arg(&args, json, 2);
     let scale = scale_arg(&args, json, FULL_SCALE);
 
     let apps: Vec<App> = if app_name == "all" {
@@ -204,12 +199,7 @@ fn run_asm(path: &str, args: &[String], json: bool) {
         .unwrap_or_else(|e| fail_usage(json, format!("cannot read {path}: {e}")));
     let program =
         mmt_isa::parse::parse(&source).unwrap_or_else(|e| fail_usage(json, format!("{path}: {e}")));
-    let threads: usize = arg_value(args, "--threads")
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| fail_usage(json, "--threads takes 1..=4"))
-        })
-        .unwrap_or(2);
+    let threads = threads_arg(args, json, 2);
     let sharing = match arg_value(args, "--sharing").as_deref() {
         None | Some("mt") => MemSharing::Shared,
         Some("me") => MemSharing::PerThread,

@@ -31,7 +31,7 @@
 //! | `--ring N`     | `4194304` | event-ring capacity, in records |
 //! | `--out DIR`    | `traces`  | output directory |
 
-use mmt_bench::cli::scale_arg;
+use mmt_bench::cli::{scale_arg, threads_arg};
 use mmt_bench::{arg_value, run_app_with};
 use mmt_obs::validate_chrome_trace;
 use mmt_sim::{MmtLevel, TraceConfig};
@@ -41,9 +41,7 @@ use std::path::PathBuf;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let app_name = arg_value(&args, "--app").unwrap_or_else(|| "equake".into());
-    let threads: usize = arg_value(&args, "--threads")
-        .map(|v| v.parse().expect("--threads takes 1..=4"))
-        .unwrap_or(2);
+    let threads = threads_arg(&args, false, 2);
     let level = match arg_value(&args, "--level").as_deref() {
         Some("base") => MmtLevel::Base,
         Some("f") => MmtLevel::F,

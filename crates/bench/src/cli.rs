@@ -31,12 +31,39 @@ pub fn format_json_arg(args: &[String]) -> Result<bool, String> {
 /// absent). A value that is not a positive integer is a usage error:
 /// scale 0 would divide by zero when the app is instantiated.
 pub fn scale_arg(args: &[String], json: bool, default: u64) -> u64 {
-    let Some(v) = crate::arg_value(args, "--scale") else {
+    int_arg(args, json, "--scale", "a positive integer", 1.., default)
+}
+
+/// Parse `--jobs N`, the worker-pool size (one per core when absent).
+pub fn jobs_arg(args: &[String], json: bool) -> usize {
+    let default = crate::sweep::default_jobs();
+    int_arg(args, json, "--jobs", "a positive integer", 1.., default)
+}
+
+/// Parse `--threads N`, the hardware thread count (`default` when
+/// absent): the core has `mmt_isa::MAX_THREADS` thread contexts.
+pub fn threads_arg(args: &[String], json: bool, default: usize) -> usize {
+    let max = mmt_isa::MAX_THREADS;
+    let what = format!("an integer from 1 to {max}");
+    int_arg(args, json, "--threads", &what, 1..=max, default)
+}
+
+/// Parse `key N` as an integer in `range` (`default` when absent);
+/// anything else is a usage error saying the flag takes `what`.
+fn int_arg<T: std::str::FromStr + PartialOrd>(
+    args: &[String],
+    json: bool,
+    key: &str,
+    what: &str,
+    range: impl std::ops::RangeBounds<T>,
+    default: T,
+) -> T {
+    let Some(v) = crate::arg_value(args, key) else {
         return default;
     };
     match v.parse() {
-        Ok(n) if n > 0 => n,
-        _ => fail_usage(json, format!("--scale takes a positive integer, got '{v}'")),
+        Ok(n) if range.contains(&n) => n,
+        _ => fail_usage(json, format!("{key} takes {what}, got '{v}'")),
     }
 }
 

@@ -32,9 +32,9 @@
 //! | `--progress PATH` | off   | stream per-case progress JSONL to PATH |
 
 use crate::arg_value;
-use crate::cli::{fail_run, fail_usage, format_json_arg, scale_arg};
+use crate::cli::{fail_run, fail_usage, format_json_arg, jobs_arg, scale_arg};
 use crate::ledger::LedgerRecord;
-use crate::sweep::{jobs_arg, progress_arg, run_parallel, write_report, ProgressSink};
+use crate::sweep::{progress_arg, run_parallel, write_report, ProgressSink};
 use mmt_workloads::{all_apps, app_by_name, App};
 use std::sync::Arc;
 use std::time::Instant;
@@ -101,7 +101,7 @@ impl GateSpec {
             })
             .collect();
         let scale = scale_arg(args, json, 16);
-        let jobs = jobs_arg(args);
+        let jobs = jobs_arg(args, json);
         let progress = progress_arg(args).map(|path| {
             Arc::new(ProgressSink::create(&path).unwrap_or_else(|e| {
                 fail_run(

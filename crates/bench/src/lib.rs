@@ -1,22 +1,23 @@
 //! # mmt-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (Section 6).
-//! Each binary prints the same rows/series the paper reports; see
-//! EXPERIMENTS.md at the repository root for the paper-vs-measured
-//! record. The shared plumbing lives here: building [`RunSpec`]s from
-//! workloads, running configurations, and computing speedups.
+//! `mmtfig <figure>` regenerates every table and figure of the paper's
+//! evaluation (Section 6) plus the ablations beyond it, one entry each
+//! in the [`figures`] table; see EXPERIMENTS.md at the repository root
+//! for the paper-vs-measured record. The shared plumbing lives here:
+//! building [`RunSpec`]s from workloads, running configurations, and
+//! computing speedups.
 //!
 //! | binary | reproduces |
 //! |---|---|
-//! | `fig1_redundancy` | Figure 1 (+ Table 1 suite listing) |
-//! | `fig2_divergence` | Figure 2 |
-//! | `table3_hw` | Table 3 |
-//! | `fig5_speedup` | Figures 5(a)/5(c) (`--threads 2|4`) |
-//! | `fig5b_identified` | Figure 5(b) |
-//! | `fig5d_fetch_modes` | Figure 5(d) + Section 6.3 remerge distances |
-//! | `fig6_energy` | Figure 6 |
-//! | `fig7_sensitivity` | Figures 7(a)–(d) (`--sweep fhb|ports|width`) |
-//! | `ablations` | design-choice studies beyond the paper (`--study sync|align|lvip|fetchstyle|prefetch|barrier|fetchpolicy`) |
+//! | `mmtfig fig1` | Figure 1 (+ Table 1 suite listing) |
+//! | `mmtfig fig2` | Figure 2 |
+//! | `mmtfig table3` | Table 3 |
+//! | `mmtfig fig5` | Figures 5(a)/5(c) (`--threads 2|4`) |
+//! | `mmtfig fig5b` | Figure 5(b) |
+//! | `mmtfig fig5d` | Figure 5(d) + Section 6.3 remerge distances |
+//! | `mmtfig fig6` | Figure 6 |
+//! | `mmtfig fig7a`, `fig7b`, `fig7d` | Figures 7(a)/(c), 7(b), 7(d) |
+//! | `mmtfig ablation-<study>` | design-choice studies beyond the paper (`sync`, `align`, `lvip`, `fetchstyle`, `prefetch`, `barrier`, `fetchpolicy`) |
 //! | `mmtsim` | general-purpose CLI driver (any app/config, JSON output, `--asm` files) |
 //! | `mmtlint` | static linter + merge classification over suite apps (`--format json`) |
 //! | `mmtpredict` | static savings predictor vs. per-PC dynamic profile (differential gate) |
@@ -27,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod figures;
 pub mod gate;
 pub mod ledger;
 pub mod report;
@@ -34,6 +36,7 @@ pub mod retry;
 pub mod sample;
 pub mod sweep;
 
+use mmt_sim::config::SyncPolicy;
 use mmt_sim::{MmtLevel, RunSpec, SimConfig, SimResult, Simulator};
 use mmt_workloads::{App, WorkloadInstance};
 
@@ -75,27 +78,56 @@ pub fn run_app_with(
     scale: u64,
     tweak: impl FnOnce(&mut SimConfig),
 ) -> SimResult {
-    try_run_app_with(app, threads, level, scale, tweak).expect("workloads terminate")
+    simulator(app, threads, level, scale, Instance::Normal, tweak)
+        .expect("valid config and spec")
+        .run()
+        .expect("workloads terminate")
 }
 
-/// Fallible twin of [`run_app_with`] for supervised sweeps: simulator
-/// errors (including watchdog trips like `LivelockDetected`) come back
-/// as typed messages instead of panics, so a failing grid point can
-/// degrade to a `PointFailure` record.
-pub fn try_run_app_with(
+/// Which workload instance of an app a run simulates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Instance {
+    /// The app's own input ([`App::instance`]).
+    Normal,
+    /// The paper's *Limit* input: identical processes
+    /// ([`App::limit_instance`]).
+    Limit,
+    /// The normal input under Thread Fusion-style software remerge
+    /// hints (`SyncPolicy::SoftwareHints`, hints from the generator).
+    Hinted,
+    /// The normal input with a barrier every N outer iterations
+    /// (0 = free-running); needs a shared-memory app.
+    Barriered(u64),
+}
+
+/// Build the simulator for one app run at `level` with `tweak` applied
+/// to the paper configuration. An invalid config or spec comes back as
+/// a message naming the app.
+pub fn simulator(
     app: &App,
     threads: usize,
     level: MmtLevel,
     scale: u64,
+    instance: Instance,
     tweak: impl FnOnce(&mut SimConfig),
-) -> Result<SimResult, String> {
+) -> Result<Simulator, String> {
     let mut cfg = SimConfig::paper_with(threads, level);
     tweak(&mut cfg);
-    let spec = to_run_spec(app.instance(threads, scale));
-    Simulator::new(cfg, spec)
-        .map_err(|e| format!("{}: invalid config/spec: {e}", app.name))?
-        .run()
-        .map_err(|e| format!("{}: {e}", app.name))
+    let w = match instance {
+        Instance::Normal | Instance::Hinted => app.instance(threads, scale),
+        Instance::Limit => app.limit_instance(threads, scale),
+        Instance::Barriered(every) => {
+            let mut barriered = app.clone();
+            barriered.spec.barrier_every = every;
+            barriered.instance(threads, scale)
+        }
+    };
+    if instance == Instance::Hinted {
+        cfg.sync_policy = SyncPolicy::SoftwareHints;
+        cfg.remerge_hints = w.remerge_hints.clone();
+    }
+    Simulator::new(cfg, to_run_spec(w))
+        .map_err(|e| format!("{}: invalid config/spec: {e}", app.name))
 }
 
 /// Run the paper's *Limit* configuration for an app (identical instances
@@ -105,9 +137,7 @@ pub fn try_run_app_with(
 ///
 /// Panics on simulator errors (see [`run_app`]).
 pub fn run_limit(app: &App, threads: usize, scale: u64) -> SimResult {
-    let cfg = SimConfig::paper_with(threads, MmtLevel::Fxr);
-    let spec = to_run_spec(app.limit_instance(threads, scale));
-    Simulator::new(cfg, spec)
+    simulator(app, threads, MmtLevel::Fxr, scale, Instance::Limit, |_| {})
         .expect("valid config and spec")
         .run()
         .expect("workloads terminate")
@@ -149,12 +179,12 @@ mod tests {
 
     #[test]
     fn arg_parsing() {
-        let args: Vec<String> = ["--threads", "4", "--sweep", "fhb"]
+        let args: Vec<String> = ["--threads", "4", "--scale", "16"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         assert_eq!(arg_value(&args, "--threads").as_deref(), Some("4"));
-        assert_eq!(arg_value(&args, "--sweep").as_deref(), Some("fhb"));
+        assert_eq!(arg_value(&args, "--scale").as_deref(), Some("16"));
         assert_eq!(arg_value(&args, "--missing"), None);
     }
 

@@ -1,7 +1,7 @@
 //! Parallel sweep harness + benchmark telemetry.
 //!
-//! Every figure binary sweeps an independent `(app, threads, SimConfig)`
-//! grid; [`run_parallel`] fans those simulations out across a scoped
+//! Every figure sweeps an independent grid of per-app rows (and every
+//! gate bin one of cases); [`run_parallel`] fans them out across a scoped
 //! worker pool (std::thread only — no external dependencies) while
 //! keeping result order deterministic: results come back in item order
 //! no matter which worker finished first, so figure output is
@@ -35,14 +35,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Parse `--jobs N` (defaulting to [`default_jobs`]).
-pub fn jobs_arg(args: &[String]) -> usize {
-    crate::arg_value(args, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes a number"))
-        .unwrap_or_else(default_jobs)
-        .max(1)
 }
 
 /// Run `f` over every item on `jobs` scoped worker threads, returning
@@ -477,17 +469,6 @@ where
     run_parallel(items, jobs, |item| {
         supervise_point(&label(item), item, sup, progress, &f)
     })
-}
-
-/// Time one simulation and capture its telemetry.
-pub fn timed_run(
-    label: impl Into<String>,
-    run: impl FnOnce() -> SimResult,
-) -> (SimResult, RunTelemetry) {
-    let start = Instant::now();
-    let result = run();
-    let t = RunTelemetry::new(label.into(), start.elapsed(), &result.stats);
-    (result, t)
 }
 
 /// Telemetry for one simulation inside a sweep.

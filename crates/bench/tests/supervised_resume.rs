@@ -1,12 +1,13 @@
 //! End-to-end fault-tolerance tests for the sweep harness (DESIGN.md
-//! §15): a SIGKILLed `fig5_speedup` resumes via `--resume-dir` and
+//! §15): a SIGKILLed `mmtfig fig5` resumes via `--resume-dir` and
 //! produces byte-identical canonical BENCH JSON to an uninterrupted run,
 //! and a deliberately livelocked grid point terminates via the livelock
 //! watchdog and lands in the report as a `PointFailure` without
 //! aborting its sibling points.
 
+use mmt_bench::figures::{run_figure, Options, FIGURES};
 use mmt_bench::retry::RetryPolicy;
-use mmt_bench::sweep::{run_supervised, BenchReport, FailureKind, Supervision};
+use mmt_bench::sweep::{run_supervised, BenchReport, FailureKind, ResumeDir, Supervision};
 use mmt_bench::to_run_spec;
 use mmt_obs::json::Value;
 use mmt_sim::{MmtLevel, SimConfig, Simulator};
@@ -66,11 +67,11 @@ fn canonicalize(v: &Value) -> String {
 }
 
 fn fig5_cmd(dir: &Path) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig5_speedup"));
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mmtfig"));
     // BENCH output lands in cwd-relative `results/`, so each scenario
     // gets its own working directory.
     cmd.current_dir(dir)
-        .args(["--threads", "2", "--scale", "16", "--jobs", "4"])
+        .args(["fig5", "--threads", "2", "--scale", "16", "--jobs", "4"])
         .args(["--resume-dir", "rd"]);
     cmd
 }
@@ -101,14 +102,14 @@ fn completed_points(dir: &Path) -> usize {
 fn sigkilled_sweep_resumes_to_identical_canonical_bench_json() {
     // Reference: one uninterrupted sweep.
     let clean = fresh_dir("clean");
-    let status = fig5_cmd(&clean).status().expect("fig5_speedup runs");
+    let status = fig5_cmd(&clean).status().expect("mmtfig runs");
     assert!(status.success(), "uninterrupted sweep failed: {status}");
 
     // Victim: start the same sweep, SIGKILL it once at least two grid
     // points have committed their cache entries, then rerun to
     // completion in the same directory.
     let victim = fresh_dir("victim");
-    let mut child = fig5_cmd(&victim).spawn().expect("fig5_speedup spawns");
+    let mut child = fig5_cmd(&victim).spawn().expect("mmtfig spawns");
     let deadline = Instant::now() + Duration::from_secs(120);
     while completed_points(&victim) < 2 {
         assert!(
@@ -201,4 +202,36 @@ fn livelocked_point_fails_supervision_without_aborting_siblings() {
     assert!(json.contains("\"label\":\"blackscholes\""), "{json}");
     assert!(json.contains("\"kind\":\"error\""), "{json}");
     assert!(json.contains("livelock detected"), "{json}");
+}
+
+#[test]
+fn resume_cache_rows_belong_to_one_figure_and_scale() {
+    let dir = fresh_dir("shared-cache");
+    let fig = |name: &str| {
+        FIGURES
+            .iter()
+            .find(|f| f.name == name)
+            .expect("known figure")
+    };
+    let opts = |scale: u64| Options {
+        threads: 2,
+        scale,
+        jobs: 2,
+        supervision: Supervision::default(),
+        trace_dir: None,
+        resume: Some(ResumeDir::open(dir.join("rd")).unwrap()),
+    };
+    let first = run_figure(fig("fig5b"), &opts(256));
+    assert_eq!(first.cache_hits, 0);
+    // Figure 5(d)'s rows have another shape; Figure 5(b)'s at another
+    // scale have other numbers. Neither may load the rows cached above.
+    for (name, scale) in [("fig5d", 256), ("fig5b", 128)] {
+        let other = run_figure(fig(name), &opts(scale));
+        assert_eq!(other.cache_hits, 0, "{name} at scale {scale}");
+        assert!(other.report.failures.is_empty(), "{}", other.text);
+    }
+    let again = run_figure(fig("fig5b"), &opts(256));
+    assert_eq!(again.cache_hits, again.rows);
+    assert_eq!(again.text, first.text);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,58 +1,35 @@
-//! The sweep harness's core contract: results come back in grid order and
-//! figure data is byte-identical no matter the worker-pool size — only
-//! wall-clock fields (excluded from the canonical form) may differ.
+//! The figure runner's core contract: rows come back in app order and
+//! the printed figure is byte-identical no matter the worker-pool size —
+//! only wall-clock fields (excluded from the canonical BENCH form) may
+//! differ.
 
-use mmt_bench::sweep::{run_parallel, timed_run, BenchReport, RunTelemetry};
-use mmt_bench::{run_app, speedup, SMOKE_SCALE};
-use mmt_sim::MmtLevel;
-use mmt_workloads::app_by_name;
-use std::time::Instant;
+use mmt_bench::figures::{run_figure, Options, FIGURES};
+use mmt_bench::sweep::Supervision;
 
-/// A miniature fig5-style sweep: (app, level) grid producing speedups and
-/// telemetry, exactly the shape every figure binary uses.
-fn sweep(jobs: usize) -> (Vec<f64>, BenchReport) {
-    let apps: Vec<_> = ["swaptions", "fft"]
-        .iter()
-        .map(|n| app_by_name(n).expect("known app"))
-        .collect();
-    let t0 = Instant::now();
-    let rows = run_parallel(&apps, jobs, |app| {
-        let (base, t_base) = timed_run(format!("{}/base", app.name), || {
-            run_app(app, 2, MmtLevel::Base, SMOKE_SCALE)
-        });
-        let (fxr, t_fxr) = timed_run(format!("{}/fxr", app.name), || {
-            run_app(app, 2, MmtLevel::Fxr, SMOKE_SCALE)
-        });
-        (speedup(&base, &fxr), vec![t_base, t_fxr])
-    });
-    let mut speedups = Vec::new();
-    let mut tel: Vec<RunTelemetry> = Vec::new();
-    for (s, t) in rows {
-        speedups.push(s);
-        tel.extend(t);
+fn options(jobs: usize) -> Options {
+    Options {
+        threads: 2,
+        scale: 256,
+        jobs,
+        supervision: Supervision::default(),
+        trace_dir: None,
+        resume: None,
     }
-    (
-        speedups,
-        BenchReport::new("determinism-unit", jobs, t0.elapsed(), tel),
-    )
 }
 
 #[test]
 fn figure_data_is_identical_at_any_pool_size() {
-    let (speedups_1, report_1) = sweep(1);
-    for jobs in [2usize, 8] {
-        let (speedups_n, report_n) = sweep(jobs);
-        // Figure values: bit-identical floats, not approximately equal.
-        assert_eq!(speedups_1, speedups_n, "jobs={jobs}");
-        // Full telemetry record: identical modulo wall-clock fields.
-        assert_eq!(
-            report_1.canonical_json(),
-            report_n.canonical_json(),
-            "jobs={jobs}"
-        );
-    }
+    let fig = FIGURES.iter().find(|f| f.name == "fig5b").expect("fig5b");
+    let serial = run_figure(fig, &options(1));
+    assert!(serial.report.failures.is_empty(), "{}", serial.text);
+    let parallel = run_figure(fig, &options(4));
+    assert_eq!(serial.text, parallel.text);
+    assert_eq!(
+        serial.report.canonical_json(),
+        parallel.report.canonical_json()
+    );
     // The canonical JSON still carries the deterministic payload.
-    let json = report_1.canonical_json();
-    assert!(json.contains("swaptions/base"));
+    let json = serial.report.canonical_json();
+    assert!(json.contains("swaptions/fxr"));
     assert!(json.contains("\"peak_uop_arena\""));
 }
